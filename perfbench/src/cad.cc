@@ -200,8 +200,8 @@ class Cad final : public Workload {
   Status ExecModify(size_t slot) {
     PRIMA_ASSIGN_OR_RETURN(auto r, conn_->ExecutePrepared(slot));
     if (r.count != 1) {
-      return Status::Corruption(std::string("MODIFY matched ") +
-                                std::to_string(r.count) + " atoms: " + kSlotMql[slot]);
+      return Wrong(std::string("MODIFY matched ") + std::to_string(r.count) +
+                   " atoms: " + kSlotMql[slot]);
     }
     return Status::Ok();
   }

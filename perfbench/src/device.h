@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "storage/block_device.h"
+#include "storage/wal.h"
 #include "trace.h"
 
 namespace perfbench {
@@ -32,9 +33,6 @@ struct DeviceCounters {
 class CountingDevice : public prima::storage::BlockDevice {
  public:
   using BlockDevice = prima::storage::BlockDevice;
-  /// Files at or above this id are the WAL, its archive and backup slots.
-  static constexpr FileId kFirstLogFile = 4294967292u;
-
   explicit CountingDevice(std::shared_ptr<BlockDevice> inner)
       : inner_(std::move(inner)) {}
 
@@ -54,7 +52,7 @@ class CountingDevice : public prima::storage::BlockDevice {
     std::lock_guard<std::mutex> lock(mu_);
     uint64_t bytes = 0;
     for (const auto& [file, extent] : extent_) {
-      if (file >= kFirstLogFile) continue;
+      if (prima::storage::IsReservedFileId(file)) continue;
       auto size = inner_->BlockSizeOf(file);
       if (size.ok()) bytes += extent * *size;
     }

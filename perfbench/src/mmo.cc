@@ -259,9 +259,8 @@ class Mmo final : public Workload {
   Status ExecModify(size_t slot) {
     PRIMA_ASSIGN_OR_RETURN(auto r, conn_->ExecutePrepared(slot));
     if (r.count != 1) {
-      return Status::Corruption(std::string("MODIFY matched ") +
-                                std::to_string(r.count) + " atoms: " +
-                                kSlotMql[slot]);
+      return Wrong(std::string("MODIFY matched ") + std::to_string(r.count) +
+                   " atoms: " + kSlotMql[slot]);
     }
     return Status::Ok();
   }
@@ -271,9 +270,8 @@ class Mmo final : public Workload {
     PRIMA_RETURN_IF_ERROR(conn_->Bind(slot, 0, Value::Int(key)));
     PRIMA_ASSIGN_OR_RETURN(auto r, conn_->ExecutePrepared(slot));
     if (r.molecules.molecules.size() != 1) {
-      return Status::Corruption("keyed read found " +
-                                std::to_string(r.molecules.molecules.size()) +
-                                " atoms");
+      return Wrong("keyed read of " + std::to_string(key) + " found " +
+                   std::to_string(r.molecules.molecules.size()) + " atoms");
     }
     const int64_t v = r.molecules.molecules[0].groups[0].atoms[0].attrs[attr].AsInt();
     if (v != expected) {

@@ -42,7 +42,6 @@ void AttributeOp(const std::vector<const Span*>& spans, Attribution* out) {
     return std::make_tuple(kids[i]->depth, std::max(kids[i]->start, lo), i);
   };
   std::set<std::tuple<uint8_t, uint64_t, size_t>> active;
-  uint64_t charged = 0;
   uint64_t cursor = lo;
   auto charge = [&](uint64_t until) {
     if (until <= cursor) return;
@@ -51,7 +50,6 @@ void AttributeOp(const std::vector<const Span*>& spans, Attribution* out) {
         active.empty() ? "unattributed"
                        : LayerOf(kids[std::get<2>(*active.rbegin())]->name);
     out->self_ns[layer] += d;
-    charged += d;
     cursor = until;
   };
   for (const auto& [t, is_start, i] : events) {
@@ -65,7 +63,6 @@ void AttributeOp(const std::vector<const Span*>& spans, Attribution* out) {
   charge(hi);
   out->ops++;
   out->wall_ns += hi - lo;
-  out->error_ns += charged > hi - lo ? charged - (hi - lo) : (hi - lo) - charged;
   for (const Span* s : kids) out->call_ns[s->name].push_back(s->end - s->start);
 }
 }  // namespace

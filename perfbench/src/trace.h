@@ -86,12 +86,11 @@ class ScopedSpan {
 /// Self time per layer over every traced op. Each instant of an op's wall
 /// time is charged to the deepest span covering it (the latest-starting one
 /// on ties); instants no call span covers are the op's own, reported as
-/// "unattributed". The charges of one op therefore add up to its wall time
-/// exactly, which `error_ns` confirms.
+/// "unattributed". One cursor sweeps each op from start to end, so its
+/// charges add up to its wall time exactly, by construction.
 struct Attribution {
   uint64_t ops = 0;
   uint64_t wall_ns = 0;
-  uint64_t error_ns = 0;                       ///< |sum of charges - wall|
   std::map<std::string, uint64_t> self_ns;     ///< layer -> ns; "unattributed"
   std::map<std::string, std::vector<uint64_t>> call_ns;  ///< span name -> durations
 };

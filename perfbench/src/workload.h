@@ -106,6 +106,12 @@ class Workload {
   /// Open the connection the op stream runs on (local or wire).
   Status OpenConn();
   void Mismatch(const std::string& what);
+  /// A wrong result the op cannot go on from: recorded as a mismatch (so
+  /// the run's output is not correct) and returned to abort the op.
+  Status Wrong(const std::string& what) {
+    Mismatch(what);
+    return Status::Corruption(what);
+  }
 
   Env env_;
   prima::core::PrimaOptions options_;
