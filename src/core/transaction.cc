@@ -41,10 +41,18 @@ Result<Transaction*> TransactionManager::Begin() {
   Transaction* raw = txn.get();
   top_level_.push_back(std::move(txn));
   stats_.begun++;
-  if (wal_ != nullptr) {
-    wal_->Append(recovery::LogRecord::Begin(raw->id()));
-  }
   return raw;
+}
+
+void TransactionManager::LogBeginOnce(Transaction* root) {
+  if (wal_ == nullptr || root->begin_logged_.load()) {
+    return;
+  }
+  // Ids reach the log in first-write order, not in begin order; restart
+  // seeds the id generator past the highest id the log holds (see
+  // RecoveryManager::next_txn_id), so the order does not matter.
+  wal_->Append(recovery::LogRecord::Begin(root->id()));
+  root->begin_logged_.store(true);
 }
 
 Status TransactionManager::Reap(Transaction* txn) {
@@ -65,9 +73,9 @@ Status TransactionManager::Reap(Transaction* txn) {
   return Status::NotFound("transaction is not registered");
 }
 
-uint64_t TransactionManager::RootId(const Transaction* txn) {
+Transaction* TransactionManager::Root(Transaction* txn) {
   while (txn->parent() != nullptr) txn = txn->parent();
-  return txn->id();
+  return txn;
 }
 
 void TransactionManager::SeedNextId(uint64_t id) {
@@ -274,17 +282,33 @@ Status Transaction::Commit() {
     // abort record then follows the buffered commit record, and restart
     // treats the transaction as finished either way — consistent with the
     // CLRs the abort writes.
-    commit_lsn = mgr_->wal_->Append(recovery::LogRecord::Commit(id_));
-    Status force_st = mgr_->wal_->CommitForce(commit_lsn);
+    //
+    // A tree that never wrote has no BEGIN on record and logs no COMMIT.
+    // It still must not return before what it observed is durable:
+    // latest-committed reads see base records without locks, so it may
+    // have read another transaction's unforced records. It forces only
+    // when such records are pending, and then only up to them.
+    uint64_t force_lsn = 0;  // a record start the force must move past
+    bool need_force = begin_logged_.load();
+    if (need_force) {
+      commit_lsn = mgr_->wal_->Append(recovery::LogRecord::Commit(id_));
+      force_lsn = commit_lsn;
+    } else {
+      const uint64_t end = mgr_->wal_->append_lsn();
+      need_force = end > mgr_->wal_->durable_lsn();
+      force_lsn = end - 1;
+    }
+    Status force_st =
+        need_force ? mgr_->wal_->CommitForce(force_lsn) : Status::Ok();
     if (force_st.IsNoSpace() && mgr_->ckpt_daemon_ != nullptr) {
       // The ring caught up with us between the daemon's polls. A refused
-      // force is side-effect free and the commit record is still buffered,
-      // so: poke the daemon, wait for a full checkpoint to truncate, and
-      // force once more. Only a ring that a checkpoint cannot free (e.g. a
+      // force is side-effect free and the records are still buffered, so:
+      // poke the daemon, wait for a full checkpoint to truncate, and force
+      // once more. Only a ring that a checkpoint cannot free (e.g. a
       // long-running transaction pinning the undo floor) still surfaces
       // NoSpace here.
       if (mgr_->ckpt_daemon_->RequestCheckpoint().ok()) {
-        force_st = mgr_->wal_->CommitForce(commit_lsn);
+        force_st = mgr_->wal_->CommitForce(force_lsn);
       }
     }
     if (force_st.IsNoSpace()) {
@@ -340,7 +364,7 @@ Status Transaction::Abort() {
   Status first_error;
   {
     std::lock_guard<std::mutex> hook_lock(mgr_->hook_mu_);
-    AccessSystem::SetWalTxn(TransactionManager::RootId(this));
+    AccessSystem::SetWalTxn(TransactionManager::Root(this)->id());
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
       Status st;
       switch (it->kind) {
@@ -366,7 +390,7 @@ Status Transaction::Abort() {
       if (rec.lsn != 0) compensated.push_back(rec.lsn);
     }
     mgr_->wal_->Append(recovery::LogRecord::Compensation(
-        TransactionManager::RootId(this), std::move(compensated)));
+        TransactionManager::Root(this)->id(), std::move(compensated)));
   }
   undo_.clear();
   state_ = State::kAborted;
@@ -380,9 +404,9 @@ Status Transaction::Abort() {
   if (parent_ != nullptr) {
     std::lock_guard<std::mutex> lock(mgr_->mu_);
     --parent_->active_children_;
-  } else if (mgr_->wal_ != nullptr) {
+  } else if (mgr_->wal_ != nullptr && begin_logged_.load()) {
     // No force needed: losing this record merely repeats the (idempotent)
-    // rollback at restart.
+    // rollback at restart. A tree that never wrote has nothing to close.
     mgr_->wal_->Append(recovery::LogRecord::Abort(id_));
   }
   mgr_->stats_.aborted++;

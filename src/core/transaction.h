@@ -85,6 +85,10 @@ class Transaction {
   size_t active_children_ = 0;
   std::vector<access::AccessSystem::UndoRecord> undo_;
   std::map<uint64_t, LockMode> locks_;  // packed tid -> mode
+  /// Root only: the WAL holds this tree's BEGIN record. Set under the
+  /// manager's hook_mu_ by the tree's first write; a tree that never wrote
+  /// commits and aborts without touching the log.
+  std::atomic<bool> begin_logged_{false};
 };
 
 struct TransactionStats {
@@ -130,10 +134,14 @@ class TransactionManager {
   /// is not registered here.
   util::Status Reap(Transaction* txn);
 
-  /// Attach (or detach) the write-ahead log. Top-level transactions then
-  /// write begin/commit/abort records, a top-level Commit() forces the log
-  /// (group commit — durability at commit, not at the next flush), and
-  /// Abort() brackets its compensations with a kCompensation record.
+  /// Attach (or detach) the write-ahead log. A top-level transaction's
+  /// BEGIN record is appended by the first write of its tree, not by
+  /// Begin(); from then on it writes commit/abort records, a top-level
+  /// Commit() forces the log (group commit — durability at commit, not at
+  /// the next flush), and Abort() brackets its compensations with a
+  /// kCompensation record. A tree that never wrote logs nothing: its
+  /// commit only forces records other transactions left unforced (it may
+  /// have read them), and its abort does not touch the log at all.
   void SetWal(recovery::WalWriter* wal) { wal_ = wal; }
 
   /// Attach (or detach) the background checkpoint daemon. A top-level
@@ -145,9 +153,11 @@ class TransactionManager {
   }
 
   /// Raise the id generator to at least `id`. Restart recovery calls this
-  /// with one past the highest transaction id in the log's scan window:
-  /// reusing an id still visible there would let the old id's commit
-  /// record mark a new crashed transaction as finished.
+  /// with one past the highest transaction id the log holds
+  /// (RecoveryManager::next_txn_id): reusing a logged id would let the old
+  /// id's commit record mark a new crashed transaction as finished. Ids
+  /// of transactions that never wrote never reach the log and may be
+  /// issued again.
   void SeedNextId(uint64_t id);
 
   TransactionStats& stats() { return stats_; }
@@ -167,18 +177,25 @@ class TransactionManager {
 
   /// Top-level ancestor of `txn` — the transaction the WAL knows about
   /// (subtransaction structure is volatile; their records share the root id).
-  static uint64_t RootId(const Transaction* txn);
+  static Transaction* Root(Transaction* txn);
+
+  /// Append `root`'s BEGIN record unless it already has one. Caller holds
+  /// hook_mu_.
+  void LogBeginOnce(Transaction* root);
 
   /// Run `op` with the undo hook routed into `txn`'s log and the thread's
-  /// WAL records tagged with the root transaction. Serializes transactional
-  /// writes.
+  /// WAL records tagged with the root transaction; the tree's first write
+  /// appends the root's BEGIN record ahead of them. Serializes
+  /// transactional writes.
   template <typename Fn>
   auto WithUndoHook(Transaction* txn, Fn&& op) {
     std::lock_guard<std::mutex> lock(hook_mu_);
+    Transaction* root = Root(txn);
+    LogBeginOnce(root);
     access_->SetUndoHook([txn](const access::AccessSystem::UndoRecord& rec) {
       txn->undo_.push_back(rec);
     });
-    access::AccessSystem::SetWalTxn(RootId(txn));
+    access::AccessSystem::SetWalTxn(root->id());
     auto result = op();
     access::AccessSystem::SetWalTxn(0);
     access_->SetUndoHook(nullptr);

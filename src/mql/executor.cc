@@ -959,7 +959,12 @@ Result<MoleculeCursor> Executor::OpenCursorWithPlan(
   if (cursor.shared_->snapshot != nullptr) {
     cursor.source_->view_ = &cursor.shared_->snapshot->view();
   }
-  if (assembly_pool_ != nullptr && assembly_threads_ > 1) {
+  // Pipeline assembly over the pool only when there are roots to overlap.
+  // A key lookup materialized its at most one root at open; handing that
+  // single assembly to a worker and waiting for it costs a thread handoff
+  // and overlaps nothing, so it assembles on the caller's thread.
+  if (assembly_pool_ != nullptr && assembly_threads_ > 1 &&
+      !cursor.source_->use_lookup_) {
     cursor.pool_ = assembly_pool_;
     // A couple of slots beyond the worker count keeps the pipeline fed
     // while the consumer projects, without assembling far past what the

@@ -179,7 +179,9 @@ class RootSource {
 /// upcoming roots is assembled and qualified on pool workers while the
 /// consumer drains, and projection happens on the consumer thread in
 /// submission order — so drain order and results stay byte-identical to
-/// serial at every thread count, only the wall-clock changes.
+/// serial at every thread count, only the wall-clock changes. A key-lookup
+/// cursor never pipelines: its lookup found at most one root at open, and
+/// one assembly has nothing to overlap with the handoff it would cost.
 ///
 /// A cursor owns its query (cloned at open), so the statement or session
 /// that spawned it may be re-bound, re-executed, or closed while the cursor

@@ -33,9 +33,11 @@ struct CachedStatement {
 /// Prepare — every raw network Execute, for one — still gets the
 /// parse-once-plan-once fast path transparently the second time a statement
 /// text arrives, from ANY session. Bounded LRU; statements with
-/// placeholders and DDL / transaction control are never cached (the former
-/// must go through Prepare, the latter parse trivially or invalidate the
-/// cache themselves).
+/// placeholders and DDL are never cached (the former must go through
+/// Prepare, the latter invalidate the cache themselves). Transaction
+/// control is cached: BEGIN WORK / COMMIT WORK bracket every explicit
+/// transaction, so they are the most repeated texts of all, and the text
+/// key keeps BEGIN WORK READ ONLY apart from BEGIN WORK.
 class StatementCache {
  public:
   explicit StatementCache(size_t capacity = 256) : capacity_(capacity) {}
@@ -44,7 +46,8 @@ class StatementCache {
   StatementCache& operator=(const StatementCache&) = delete;
 
   /// Statement kinds worth caching: query and DML shapes whose parse +
-  /// semantic analysis + planning dominate a repeated round trip.
+  /// semantic analysis + planning dominate a repeated round trip, and the
+  /// transaction-control statements repeated around every transaction.
   static bool Cacheable(Statement::Kind kind) {
     switch (kind) {
       case Statement::Kind::kQuery:
@@ -52,6 +55,9 @@ class StatementCache {
       case Statement::Kind::kDelete:
       case Statement::Kind::kModify:
       case Statement::Kind::kConnect:
+      case Statement::Kind::kBeginWork:
+      case Statement::Kind::kCommitWork:
+      case Statement::Kind::kAbortWork:
         return true;
       default:
         return false;

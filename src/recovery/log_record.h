@@ -18,7 +18,7 @@ namespace prima::recovery {
 ///  - rollback (atom-level undo with before images, compensation markers),
 /// plus the fuzzy-checkpoint brackets that bound the restart scan.
 enum class LogRecordType : uint8_t {
-  kBegin = 1,            ///< top-level transaction started
+  kBegin = 1,            ///< top-level transaction's first write
   kCommit = 2,           ///< top-level transaction committed (force point)
   kAbort = 3,            ///< top-level transaction fully rolled back
   kPageRedo = 4,         ///< physiological redo: changed byte ranges of a page
@@ -41,7 +41,10 @@ enum class AtomOp : uint8_t { kInsert = 0, kModify = 1, kDelete = 2 };
 struct LogRecord {
   LogRecordType type = LogRecordType::kBegin;
   uint64_t lsn = 0;
-  uint64_t txn_id = 0;  ///< top-level transaction, 0 = system/auto-commit
+  /// Top-level transaction, 0 = system/auto-commit. On kCheckpointBegin:
+  /// the highest transaction id logged before it (restart seeds its id
+  /// generator past it).
+  uint64_t txn_id = 0;
 
   // --- kPageRedo -----------------------------------------------------------
   struct ByteRange {

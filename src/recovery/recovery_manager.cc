@@ -418,6 +418,12 @@ Status RecoveryManager::Checkpoint(access::AccessSystem* access) {
   // begin/undo records.
   begin.undo_low_lsn = wal_->append_lsn();
   begin.active_txns = wal_->ActiveTxns();
+  // The record carries the highest transaction id logged so far, read
+  // after the append_lsn snapshot: every id logged below the floor is then
+  // covered by it, every later one lies inside the next restart's scan
+  // window, so restart can issue ids past every id the log ever held even
+  // though first writes log BEGINs out of id order.
+  begin.txn_id = wal_->max_txn_id();
   for (const auto& [id, first_lsn] : begin.active_txns) {
     begin.undo_low_lsn = std::min(begin.undo_low_lsn, first_lsn);
   }

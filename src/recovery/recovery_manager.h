@@ -87,9 +87,11 @@ class RecoveryManager {
   /// re-enqueue the deferred redundancy the crash dropped.
   util::Status UndoAndFixup(access::AccessSystem* access);
 
-  /// One past the highest transaction id seen in the scan window. New
-  /// transaction ids must start here — a reused id would collide with
-  /// same-id records still inside the window at the next restart.
+  /// One past the highest transaction id the log holds: the ids of the
+  /// scan window's records, and the checkpoint-begin record's bound on
+  /// every id logged below it. New transaction ids must start here — a
+  /// reused id would collide with same-id records still inside the window
+  /// at the next restart, or in the archive a media recovery replays.
   uint64_t next_txn_id() const { return max_txn_id_ + 1; }
 
   /// True when AnalyzeAndRedo/UndoAndFixup changed anything — callers use

@@ -121,8 +121,14 @@ Status WalWriter::Open() {
   // Locate the durable end of log: scan from the checkpoint (or 0) until
   // the first invalid fragment.
   uint64_t end = checkpoint_lsn_;
+  max_txn_id_ = 0;
   PRIMA_RETURN_IF_ERROR(Scan(
-      checkpoint_lsn_, [](const LogRecord&) { return Status::Ok(); }, &end));
+      checkpoint_lsn_,
+      [this](const LogRecord& rec) {
+        max_txn_id_ = std::max(max_txn_id_, rec.txn_id);
+        return Status::Ok();
+      },
+      &end));
 
   append_lsn_ = durable_lsn_ = end;
   // Preload the partial tail block so future appends rewrite it correctly
@@ -182,6 +188,7 @@ uint64_t WalWriter::Append(const LogRecord& rec) {
   rec.EncodeInto(&payload);
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t lsn = AppendPayloadLocked(payload);
+  max_txn_id_ = std::max(max_txn_id_, rec.txn_id);
   switch (rec.type) {
     case LogRecordType::kBegin:
       active_txns_.emplace(rec.txn_id, lsn);
@@ -497,6 +504,11 @@ void WalWriter::SetCheckpointWindow(bool active) {
 std::vector<std::pair<uint64_t, uint64_t>> WalWriter::ActiveTxns() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {active_txns_.begin(), active_txns_.end()};
+}
+
+uint64_t WalWriter::max_txn_id() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return max_txn_id_;
 }
 
 WalStatsSnapshot WalWriter::StatsSnapshot() const {

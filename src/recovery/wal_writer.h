@@ -87,7 +87,9 @@ struct WalStatsSnapshot {
   uint64_t capacity_bytes = 0;   ///< ring capacity (0 = unbounded)
   /// Transactions with a begin but no commit/abort yet, and the begin-LSN
   /// of the oldest of them (meaningful only when active_txns > 0 — LSN 0
-  /// is a legitimate begin position on a fresh log). The undo floor can
+  /// is a legitimate begin position on a fresh log). A transaction's BEGIN
+  /// is logged by its first write, so only transactions that have written
+  /// count here; one that only reads never appears. The undo floor can
   /// never pass that LSN: a long-running transaction pinning it far back
   /// stops truncation from freeing ring space, and a small ring wedges
   /// (checkpoints stop helping) until it finishes — watch this when
@@ -259,6 +261,14 @@ class WalWriter : public storage::WriteAheadLog {
   /// their begin record (the undo floor for fuzzy checkpoints).
   std::vector<std::pair<uint64_t, uint64_t>> ActiveTxns() const;
 
+  /// Highest transaction id this log has ever held: every record appended
+  /// since Open, plus what Open's scan found from the last checkpoint on
+  /// (a checkpoint-begin record carries the value as of its append, so the
+  /// bound survives truncation and restarts). BEGIN records reach the log
+  /// in first-write order, not in id order, so the newest record does not
+  /// carry the highest id.
+  uint64_t max_txn_id() const;
+
   // --- reading -------------------------------------------------------------
 
   /// Invoke `fn` for every durable record from LSN `from` (which must be a
@@ -389,6 +399,7 @@ class WalWriter : public storage::WriteAheadLog {
 
   // txn id -> LSN of its begin record, maintained on append.
   std::map<uint64_t, uint64_t> active_txns_;
+  uint64_t max_txn_id_ = 0;  ///< see max_txn_id(); guarded by mu_
 
   WalStats stats_;
   obs::Histogram* force_wait_hist_ = nullptr;

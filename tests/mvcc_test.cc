@@ -326,6 +326,49 @@ TEST_F(MvccTest, SnapshotSerialVsPipelinedByteIdentical) {
   exec.SetAssemblyPool(saved_pool, saved_threads);  // restore
 }
 
+// A snapshot key lookup assembles on the caller's thread and still reads
+// the pinned view: an atom deleted after the pin (the key index no longer
+// finds it) comes back from its version chain, and one modified after the
+// pin comes back as it was.
+TEST_F(MvccTest, SnapshotKeyLookupOnSerialPathServesPinnedVersion) {
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(InsertPart(session_.get(), i, "v0_" + std::to_string(i), 1.0)
+                    .ok());
+  }
+  mql::Executor& exec = db_->data().executor();
+  util::ThreadPool* const saved_pool = exec.assembly_pool();
+  const size_t saved_threads = exec.assembly_threads();
+  exec.SetAssemblyPool(&db_->pool(), 4);  // a pool is there to be skipped
+
+  ASSERT_TRUE(session_->Execute("BEGIN WORK READ ONLY").ok());
+  auto writer = db_->OpenSession();
+  ASSERT_TRUE(writer->Execute("DELETE ALL FROM part WHERE part_no = 5").ok());
+  ASSERT_TRUE(
+      writer->Execute("MODIFY part SET name = 'new' WHERE part_no = 6").ok());
+  auto gone = writer->Execute("SELECT ALL FROM part WHERE part_no = 5");
+  ASSERT_TRUE(gone.ok());
+  EXPECT_EQ(gone->molecules.size(), 0u);
+
+  for (const int key : {5, 6}) {
+    const std::string mql =
+        "SELECT ALL FROM part WHERE part_no = " + std::to_string(key);
+    auto cursor = session_->Query(mql);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    std::vector<mql::Molecule> got = DrainAll(&*cursor);
+    ASSERT_EQ(got.size(), 1u) << mql;
+    EXPECT_EQ(got[0].groups[0].atoms[0].attrs[2].AsString(),
+              "v0_" + std::to_string(key));
+    auto explained = session_->Execute("EXPLAIN ANALYZE " + mql);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_NE(explained->text.find("1 molecule(s)"), std::string::npos)
+        << explained->text;
+    EXPECT_EQ(explained->text.find("worker_tasks"), std::string::npos)
+        << explained->text;
+  }
+  ASSERT_TRUE(session_->Execute("COMMIT WORK").ok());
+  exec.SetAssemblyPool(saved_pool, saved_threads);  // restore
+}
+
 // A snapshot cursor with no transaction of its own survives a same-session
 // ABORT WORK: the rollback's compensations restore exactly the before-
 // images its pinned chains serve, so the stream keeps going — where a

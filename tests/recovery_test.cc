@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "core/prima.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "recovery/backup.h"
 #include "recovery/checkpoint_daemon.h"
 #include "recovery/crash_device.h"
@@ -1291,10 +1294,18 @@ TEST_F(CrashRecoveryTest, DaemonKeepsSustainedWorkloadOutOfNoSpace) {
                 db->checkpoint_daemon()->stats().requested_checkpoints,
             1u);
 
-  // Observability: an open transaction pins the undo floor and is visible
-  // as the oldest active LSN; finishing it clears the gauge.
+  // Observability: a transaction reaches the log with its first write, so
+  // an open transaction that has not written pins nothing; once it writes
+  // it pins the undo floor and is visible as the oldest active LSN, and
+  // finishing it clears the gauge.
   auto txn = db->Begin();
   ASSERT_TRUE(txn.ok());
+  EXPECT_EQ(db->wal_stats().active_txns, 0u);
+  const auto* item = db->access().catalog().FindAtomType("item");
+  ASSERT_TRUE((*txn)
+                  ->InsertAtom(item->id, {AttrValue{1, Value::Int(++inserted)},
+                                          AttrValue{2, Value::String("pin")}})
+                  .ok());
   EXPECT_EQ(db->wal_stats().active_txns, 1u);
   EXPECT_GT(db->wal_stats().oldest_active_lsn, 0u);
   ASSERT_TRUE((*txn)->Commit().ok());
@@ -1306,9 +1317,9 @@ TEST_F(CrashRecoveryTest, DaemonKeepsSustainedWorkloadOutOfNoSpace) {
   Crash(&db);
   auto db2 = OpenDb();
   ASSERT_NE(db2, nullptr);
-  const auto* item = db2->access().catalog().FindAtomType("item");
-  ASSERT_NE(item, nullptr);
-  EXPECT_EQ(db2->access().AtomCount(item->id), static_cast<size_t>(inserted));
+  const auto* item2 = db2->access().catalog().FindAtomType("item");
+  ASSERT_NE(item2, nullptr);
+  EXPECT_EQ(db2->access().AtomCount(item2->id), static_cast<size_t>(inserted));
 }
 
 TEST_F(CrashRecoveryTest, CommitNoSpacePokesDaemonAndRetries) {
@@ -1334,6 +1345,177 @@ TEST_F(CrashRecoveryTest, CommitNoSpacePokesDaemonAndRetries) {
   }
   EXPECT_GE(db->checkpoint_daemon()->stats().requested_checkpoints, 1u)
       << "the full ring must have triggered at least one poke";
+}
+
+// ---------------------------------------------------------------------------
+// Lazy BEGIN: a transaction reaches the log with its first write
+// ---------------------------------------------------------------------------
+
+TEST_F(CrashRecoveryTest, ReadOnlyTransactionsAppendAndForceNothing) {
+  core::PrimaOptions options;
+  options.listen_port = 0;
+  auto db = OpenDbWith(options);
+  ASSERT_NE(db, nullptr);
+  CreateItemType(db.get());
+  ASSERT_TRUE(db->Flush().ok());
+  auto tid = InsertItem(db.get(), 1);  // its commit forces everything
+  ASSERT_TRUE(tid.ok()) << tid.status().ToString();
+  auto session = db->OpenSession();
+  auto connected = net::Client::Connect("127.0.0.1", db->net_server()->port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<net::Client> client = std::move(connected).value();
+
+  auto expect_log_untouched = [&](const std::string& what,
+                                  const std::function<void()>& body) {
+    const auto before = db->wal_stats();
+    body();
+    const auto after = db->wal_stats();
+    EXPECT_EQ(after.records_appended, before.records_appended) << what;
+    EXPECT_EQ(after.forces, before.forces) << what;
+    EXPECT_EQ(after.active_txns, 0u) << what;
+  };
+  expect_log_untouched("facade commit", [&] {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE((*txn)->GetAtom(*tid).ok());
+    auto child = (*txn)->BeginChild();
+    ASSERT_TRUE(child.ok());
+    ASSERT_TRUE((*child)->GetAtom(*tid).ok());
+    ASSERT_TRUE((*child)->Commit().ok());
+    ASSERT_TRUE((*txn)->Commit().ok());
+  });
+  expect_log_untouched("facade abort", [&] {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE((*txn)->GetAtom(*tid).ok());
+    ASSERT_TRUE((*txn)->Abort().ok());
+  });
+  expect_log_untouched("session", [&] {
+    ASSERT_TRUE(session->Execute("BEGIN WORK").ok());
+    auto r = session->Execute("SELECT ALL FROM item WHERE num = 1");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->molecules.size(), 1u);
+    ASSERT_TRUE(session->Execute("COMMIT WORK").ok());
+    ASSERT_TRUE(session->Execute("BEGIN WORK").ok());
+    ASSERT_TRUE(session->Execute("ABORT WORK").ok());
+  });
+  expect_log_untouched("wire", [&] {
+    ASSERT_TRUE(client->Begin().ok());
+    auto r = client->Execute("SELECT ALL FROM item WHERE num = 1");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->molecules.size(), 1u);
+    ASSERT_TRUE(client->Commit().ok());
+  });
+
+  // A transaction that writes still logs BEGIN, its changes and COMMIT, and
+  // forces once.
+  const auto before = db->wal_stats();
+  ASSERT_TRUE(session->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(session->Execute("INSERT item (num = 2, name = 'w')").ok());
+  EXPECT_EQ(db->wal_stats().active_txns, 1u);
+  ASSERT_TRUE(session->Execute("COMMIT WORK").ok());
+  const auto after = db->wal_stats();
+  EXPECT_GE(after.records_appended, before.records_appended + 3);
+  EXPECT_EQ(after.forces, before.forces + 1);
+  EXPECT_EQ(after.active_txns, 0u);
+}
+
+// T1 begins before T2 but writes after T2 committed, so T1's BEGIN follows
+// T2's COMMIT in the log. Restart must still roll T1 back and keep T2, and
+// must never hand out a logged id again — also when a checkpoint sits
+// between the two, putting T2's records below the restart scan.
+class OutOfOrderFirstWritesTest
+    : public CrashRecoveryTest,
+      public ::testing::WithParamInterface<bool> {};
+
+TEST_P(OutOfOrderFirstWritesTest, LoserRolledBackWinnerKeptIdsAhead) {
+  const bool checkpoint_between = GetParam();
+  auto db = OpenDb();
+  ASSERT_NE(db, nullptr);
+  CreateItemType(db.get());
+  ASSERT_TRUE(db->Flush().ok());
+  const auto* item = db->access().catalog().FindAtomType("item");
+  auto t1 = db->Begin();
+  auto t2 = db->Begin();
+  ASSERT_TRUE(t1.ok() && t2.ok());
+  ASSERT_LT((*t1)->id(), (*t2)->id());
+  const uint64_t highest = (*t2)->id();
+  auto kept = (*t2)->InsertAtom(
+      item->id,
+      {AttrValue{1, Value::Int(2)}, AttrValue{2, Value::String("t2")}});
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE((*t2)->Commit().ok());
+  if (checkpoint_between) {
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  auto lost = (*t1)->InsertAtom(
+      item->id,
+      {AttrValue{1, Value::Int(1)}, AttrValue{2, Value::String("t1")}});
+  ASSERT_TRUE(lost.ok());
+  ASSERT_TRUE(db->wal()->ForceAll().ok());  // the loser's records are on disk
+  Crash(&db);
+
+  // Twice: the second restart scans from the first one's checkpoint, so
+  // it sees neither transaction's BEGIN and must rely on the carried
+  // id bound.
+  for (int restart = 0; restart < 2; ++restart) {
+    auto db2 = OpenDb();
+    ASSERT_NE(db2, nullptr);
+    if (restart == 0) {
+      EXPECT_EQ(db2->recovery()->stats().loser_txns, 1u);
+    }
+    const auto* item2 = db2->access().catalog().FindAtomType("item");
+    EXPECT_EQ(db2->access().AtomCount(item2->id), 1u) << restart;
+    EXPECT_TRUE(db2->access().AtomExists(*kept)) << restart;
+    EXPECT_FALSE(db2->access().AtomExists(*lost)) << restart;
+    auto fresh = db2->Begin();
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_GT((*fresh)->id(), highest)
+        << "restart " << restart << " reissued a logged transaction id";
+    Crash(&db2);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CheckpointBetween, OutOfOrderFirstWritesTest,
+                         ::testing::Bool());
+
+TEST_F(CrashRecoveryTest, ReadOnlyCommitWaitsForRecordsItMayHaveRead) {
+  auto db = OpenDb();
+  ASSERT_NE(db, nullptr);
+  CreateItemType(db.get());
+  ASSERT_TRUE(db->Flush().ok());
+  const auto* item = db->access().catalog().FindAtomType("item");
+
+  // A writer's insert sits in the log buffer, not yet forced.
+  auto writer = db->Begin();
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)
+                  ->InsertAtom(item->id, {AttrValue{1, Value::Int(7)},
+                                          AttrValue{2, Value::String("dirty")}})
+                  .ok());
+  const uint64_t pending_end = db->wal()->append_lsn();
+  ASSERT_LT(db->wal()->durable_lsn(), pending_end);
+
+  // A latest-committed reader sees the base record without a lock...
+  auto reader = db->OpenSession();
+  ASSERT_TRUE(reader->Execute("BEGIN WORK").ok());
+  auto r = reader->Execute("SELECT ALL FROM item WHERE num = 7");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->molecules.size(), 1u);
+  // ...so its commit, which logs nothing of its own, returns only once
+  // what it read is durable.
+  const auto before = db->wal_stats();
+  ASSERT_TRUE(reader->Execute("COMMIT WORK").ok());
+  EXPECT_GE(db->wal()->durable_lsn(), pending_end);
+  const auto after = db->wal_stats();
+  EXPECT_EQ(after.records_appended, before.records_appended);
+  EXPECT_EQ(after.forces, before.forces + 1);
+
+  // With nothing pending, the next read-only commit forces nothing.
+  ASSERT_TRUE(reader->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(reader->Execute("COMMIT WORK").ok());
+  EXPECT_EQ(db->wal_stats().forces, after.forces);
+  ASSERT_TRUE((*writer)->Abort().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -468,6 +468,101 @@ TEST_F(SessionTest, CursorEarlyCloseStopsStreaming) {
   cursor->Close();  // idempotent
 }
 
+// A key lookup finds at most one root at open, so its cursor assembles on
+// the caller's thread even when an assembly pool is attached: the traced
+// statement shows no worker task. Its output matches, byte for byte, the
+// same rows read through a pipelined type scan, at 1 and at 4 threads.
+TEST_F(SessionTest, EqKeyCursorStaysOnTheCallersThread) {
+  std::string eq_output[2];
+  int run = 0;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    PrimaOptions options;
+    options.cursor_assembly_threads = threads;
+    auto db = Prima::Open(options);
+    ASSERT_TRUE(db.ok());
+    auto session = (*db)->OpenSession();
+    ASSERT_TRUE(session
+                    ->Execute("CREATE ATOM_TYPE part (part_id: IDENTIFIER, "
+                              "part_no: INTEGER, name: CHAR_VAR, weight: "
+                              "REAL) KEYS_ARE (part_no)")
+                    .ok());
+    for (int i = 1; i <= 40; ++i) {
+      ASSERT_TRUE(InsertPart(session.get(), i, "p" + std::to_string(i),
+                             i * 0.25)
+                      .ok());
+    }
+    const access::Catalog& catalog = (*db)->access().catalog();
+    auto drain = [&](const std::string& mql) {
+      auto cursor = session->Query(mql);
+      EXPECT_TRUE(cursor.ok()) << mql << ": " << cursor.status().ToString();
+      if (!cursor.ok()) return std::string();
+      auto set = cursor->Drain();
+      EXPECT_TRUE(set.ok()) << mql << ": " << set.status().ToString();
+      return set.ok() ? set->ToString(catalog) : std::string();
+    };
+    for (const int key : {1, 17, 40, 99}) {
+      for (const std::string select : {"SELECT ALL", "SELECT part_no, name"}) {
+        const std::string k = std::to_string(key);
+        const std::string eq =
+            drain(select + " FROM part WHERE part_no = " + k);
+        EXPECT_EQ(eq, drain(select + " FROM part WHERE part_no >= " + k +
+                            " AND part_no <= " + k))
+            << select << " key " << key << " at " << threads << " threads";
+        eq_output[run] += eq + "\n";
+      }
+    }
+    auto eq_trace = session->Execute(
+        "EXPLAIN ANALYZE SELECT ALL FROM part WHERE part_no = 17");
+    ASSERT_TRUE(eq_trace.ok()) << eq_trace.status().ToString();
+    EXPECT_NE(eq_trace->text.find("1 molecule(s)"), std::string::npos)
+        << eq_trace->text;
+    EXPECT_EQ(eq_trace->text.find("worker_tasks"), std::string::npos)
+        << eq_trace->text;
+    if (threads > 1) {
+      // The comparison above really ran against the pipelined path.
+      auto scan_trace = session->Execute(
+          "EXPLAIN ANALYZE SELECT ALL FROM part WHERE part_no >= 17 AND "
+          "part_no <= 17");
+      ASSERT_TRUE(scan_trace.ok()) << scan_trace.status().ToString();
+      EXPECT_NE(scan_trace->text.find("worker_tasks"), std::string::npos)
+          << scan_trace->text;
+    }
+    ++run;
+  }
+  EXPECT_EQ(eq_output[0], eq_output[1]);
+}
+
+// BEGIN WORK / COMMIT WORK / ABORT WORK bracket every explicit transaction;
+// the statement cache serves their repeats, and the text key keeps
+// BEGIN WORK READ ONLY (and its flag) apart from BEGIN WORK.
+TEST_F(SessionTest, TransactionControlIsServedFromTheStatementCache) {
+  const mql::StatementCache& cache = db_->data().statement_cache();
+  auto execute_hit = [&](const std::string& mql) {
+    const uint64_t hits = cache.hits();
+    const util::Status st = session_->Execute(mql).status();
+    EXPECT_EQ(cache.hits(), hits + 1) << mql << " missed the cache";
+    return st;
+  };
+  ASSERT_TRUE(session_->Execute("BEGIN WORK").ok());
+  ASSERT_TRUE(session_->Execute("COMMIT WORK").ok());
+  ASSERT_TRUE(session_->Execute("BEGIN WORK READ ONLY").ok());
+  EXPECT_TRUE(InsertPart(session_.get(), 1, "ro", 1.0).IsInvalidArgument());
+  ASSERT_TRUE(execute_hit("COMMIT WORK").ok());
+
+  ASSERT_TRUE(execute_hit("BEGIN WORK READ ONLY").ok());
+  EXPECT_TRUE(InsertPart(session_.get(), 1, "ro", 1.0).IsInvalidArgument())
+      << "the cached BEGIN WORK READ ONLY lost its flag";
+  ASSERT_TRUE(execute_hit("COMMIT WORK").ok());
+
+  ASSERT_TRUE(execute_hit("BEGIN WORK").ok());
+  ASSERT_TRUE(InsertPart(session_.get(), 1, "rw", 1.0).ok())
+      << "the cached BEGIN WORK must stay read-write";
+  ASSERT_TRUE(session_->Execute("ABORT WORK").ok());
+  ASSERT_TRUE(execute_hit("BEGIN WORK").ok());
+  ASSERT_TRUE(execute_hit("ABORT WORK").ok());
+  EXPECT_EQ(CountParts(session_.get()), 0u);
+}
+
 TEST_F(SessionTest, CursorInvalidatedBySessionAbort) {
   ASSERT_TRUE(InsertPart(session_.get(), 1, "keep", 1.0).ok());
   ASSERT_TRUE(session_->Execute("BEGIN WORK").ok());
