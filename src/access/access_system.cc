@@ -587,9 +587,7 @@ Result<Atom> AccessSystem::DecodeAtom(AtomTypeId type, Slice bytes) const {
   return Atom::Decode(&bytes, def->attrs.size());
 }
 
-Result<Atom> AccessSystem::ReadBaseAtom(const Tid& tid) {
-  PRIMA_ASSIGN_OR_RETURN(const uint64_t rid,
-                         addresses_.Lookup(tid, kBaseStructure));
+Result<Atom> AccessSystem::ReadBaseRecord(const Tid& tid, uint64_t rid) {
   auto it = base_files_.find(tid.type);
   if (it == base_files_.end()) {
     return Status::NotFound("atom type id " + std::to_string(tid.type));
@@ -597,6 +595,31 @@ Result<Atom> AccessSystem::ReadBaseAtom(const Tid& tid) {
   PRIMA_ASSIGN_OR_RETURN(std::string bytes,
                          it->second->Read(RecordId::Unpack(rid)));
   return DecodeAtom(tid.type, bytes);
+}
+
+Result<Atom> AccessSystem::ReadBaseAtomLocked(const Tid& tid) {
+  PRIMA_ASSIGN_OR_RETURN(const uint64_t rid,
+                         addresses_.Lookup(tid, kBaseStructure));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, ReadBaseRecord(tid, rid));
+  if (atom.tid != tid) {
+    return Status::Corruption("base record of atom " + tid.ToString() +
+                              " holds atom " + atom.tid.ToString());
+  }
+  return atom;
+}
+
+Result<Atom> AccessSystem::ReadBaseAtom(const Tid& tid) {
+  PRIMA_ASSIGN_OR_RETURN(const uint64_t rid,
+                         addresses_.Lookup(tid, kBaseStructure));
+  Pause(PausePoint::kAddressResolved);
+  Result<Atom> atom = ReadBaseRecord(tid, rid);
+  if (atom.ok() && atom->tid == tid) return atom;
+  // Stale address: a relocating writer (which holds write_mu_) freed the
+  // slot and has not yet published the new one, or has and the slot was
+  // reused. Wait it out; with write_mu_ held no relocation is in flight.
+  Pause(PausePoint::kReadRetry);
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return ReadBaseAtomLocked(tid);
 }
 
 Status AccessSystem::WriteBaseAtom(const Tid& tid, const Atom& atom,
@@ -613,6 +636,7 @@ Status AccessSystem::WriteBaseAtom(const Tid& tid, const Atom& atom,
   PRIMA_ASSIGN_OR_RETURN(const RecordId new_rid,
                          file->Update(RecordId::Unpack(old_rid), bytes));
   if (new_rid.Pack() != old_rid) {
+    Pause(PausePoint::kRelocated);
     PRIMA_RETURN_IF_ERROR(
         addresses_.UpdateEntry(tid, kBaseStructure, new_rid.Pack()));
   }
@@ -637,7 +661,7 @@ Status AccessSystem::AddBackRef(const Tid& atom_tid, uint16_t attr,
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::Corruption("back-reference attribute missing");
   }
-  PRIMA_ASSIGN_OR_RETURN(Atom atom, ReadBaseAtom(atom_tid));
+  PRIMA_ASSIGN_OR_RETURN(Atom atom, ReadBaseAtomLocked(atom_tid));
   const Atom old_atom = atom;
   const TypeDesc& t = def->attrs[attr].type;
   Value& v = atom.attrs[attr];
@@ -679,7 +703,7 @@ Status AccessSystem::RemoveBackRef(const Tid& atom_tid, uint16_t attr,
   if (def == nullptr || attr >= def->attrs.size()) {
     return Status::Corruption("back-reference attribute missing");
   }
-  auto atom_or = ReadBaseAtom(atom_tid);
+  auto atom_or = ReadBaseAtomLocked(atom_tid);
   if (!atom_or.ok()) {
     // Target already gone (e.g. bulk delete); nothing to unhook.
     return atom_or.status().IsNotFound() ? Status::Ok() : atom_or.status();
@@ -864,6 +888,10 @@ Result<Atom> AccessSystem::GetAtom(const Tid& tid,
           partition_files_[s->id]->Read(RecordId::Unpack(*rid_or));
       if (!bytes_or.ok()) continue;
       PRIMA_ASSIGN_OR_RETURN(Atom atom, DecodeAtom(tid.type, *bytes_or));
+      // A concurrent drain can relocate the copy (and an insert reuse its
+      // slot) between the lookup and the read, like a base relocation; the
+      // base record is then the answer.
+      if (atom.tid != tid) continue;
       stats_.partition_reads++;
       return atom;
     }
@@ -908,7 +936,7 @@ Status AccessSystem::ModifyAtom(const Tid& tid, std::vector<AttrValue> changes) 
   if (def == nullptr) {
     return Status::NotFound("atom type id " + std::to_string(tid.type));
   }
-  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtomLocked(tid));
   Atom atom = old_atom;
   std::set<uint16_t> changed;
   for (auto& av : changes) {
@@ -1002,7 +1030,7 @@ Status AccessSystem::DeleteAtom(const Tid& tid) {
   if (def == nullptr) {
     return Status::NotFound("atom type id " + std::to_string(tid.type));
   }
-  PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom atom, ReadBaseAtomLocked(tid));
   // Install at the TOP — before the index entries go, so a snapshot scan's
   // ghost pass can still find this atom by its chain after the delete.
   InstallVersion(tid, &atom);
@@ -1519,7 +1547,7 @@ Status AccessSystem::RawDeleteAtom(const Tid& tid) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
-  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtom(tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom old_atom, ReadBaseAtomLocked(tid));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &old_atom, nullptr, tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &old_atom, nullptr, tid));
   PRIMA_RETURN_IF_ERROR(
@@ -1551,7 +1579,7 @@ Status AccessSystem::RawOverwriteAtom(const Atom& before) {
   std::lock_guard<std::mutex> lock(write_mu_);
   const AtomTypeDef* def = catalog_.GetAtomType(before.tid.type);
   if (def == nullptr) return Status::NotFound("atom type");
-  PRIMA_ASSIGN_OR_RETURN(const Atom current, ReadBaseAtom(before.tid));
+  PRIMA_ASSIGN_OR_RETURN(const Atom current, ReadBaseAtomLocked(before.tid));
   PRIMA_RETURN_IF_ERROR(WriteBaseAtom(before.tid, before, /*is_new=*/false));
   PRIMA_RETURN_IF_ERROR(MaintainAccessPaths(*def, &current, &before, before.tid));
   PRIMA_RETURN_IF_ERROR(EnqueueRedundancy(*def, &current, &before, before.tid));

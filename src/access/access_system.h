@@ -341,7 +341,21 @@ class AccessSystem {
   util::Status AttachStructures();
   util::Status BackfillStructure(const StructureDef& def);
 
+  /// Read the current base record of `tid`, for callers that do not hold
+  /// write_mu_ (latest-committed readers, drains, DDL backfill, restart).
+  /// A growing update frees the record's old slot before the address table
+  /// publishes the new one, so a lock-free lookup can be stale: the old
+  /// slot reads as deleted, or as another atom once an insert reused it. A
+  /// read that fails or decodes a foreign atom therefore waits for the
+  /// writer in progress and resolves once more under write_mu_; that answer
+  /// is final (NotFound then means a real delete). An address lookup that
+  /// finds nothing is final at once: a relocation never unregisters.
   util::Result<Atom> ReadBaseAtom(const Tid& tid);
+  /// The same read for callers that hold write_mu_: no relocation can be in
+  /// flight, so the address is current, and a record holding another atom
+  /// is Corruption.
+  util::Result<Atom> ReadBaseAtomLocked(const Tid& tid);
+  util::Result<Atom> ReadBaseRecord(const Tid& tid, uint64_t rid);
   util::Status WriteBaseAtom(const Tid& tid, const Atom& atom, bool is_new);
 
   /// One side of the implicit inverse maintenance: add/remove `target` in
@@ -411,9 +425,28 @@ class AccessSystem {
   recovery::WalWriter* wal_ = nullptr;
   bool flush_on_close_ = true;
 
-  // Serializes multi-structure mutations (atom writes). Reads are lock-free
-  // at this level (page latches + structure mutexes below).
+  // Serializes multi-structure mutations (atom writes). Every write of a
+  // base record holds it: InsertAtom, ModifyAtom, DeleteAtom (Connect and
+  // Disconnect go through ModifyAtom, back-reference upkeep runs inside
+  // those) and the Raw* compensations; restart's address fixups run before
+  // any reader. Reads are lock-free at this level (page latches + structure
+  // mutexes below); ReadBaseAtom takes it only to wait out a relocation.
   std::mutex write_mu_;
+
+  // Test seam: parks a thread at a named point of the relocation protocol so
+  // a test can force the reader/writer interleavings deterministically. Set
+  // only through AccessSystemTestPeer (defined by the access tests); unset,
+  // it costs one empty-function check per point.
+  enum class PausePoint {
+    kRelocated,        ///< writer: record moved, new address not yet published
+    kAddressResolved,  ///< reader: address looked up, record not yet read
+    kReadRetry,        ///< reader: stale read seen, about to wait for writer
+  };
+  friend class AccessSystemTestPeer;
+  std::function<void(PausePoint)> pause_hook_;
+  void Pause(PausePoint point) {
+    if (pause_hook_) pause_hook_(point);
+  }
 };
 
 }  // namespace prima::access

@@ -233,10 +233,28 @@ std::vector<LogRecord::ByteRange> DiffPageImages(const char* before,
   constexpr uint32_t kMergeGap = 8;
   // Excluded header fields: [0,4) checksum, [24,32) page-LSN.
   auto excluded = [](uint32_t i) { return i < 4 || (i >= 24 && i < 32); };
+  // Most of a page is untouched, so equal 8-byte words are skipped whole and
+  // bytes are compared only inside a word that differs. Skipping equal bytes
+  // never changes the result: they neither start a run nor extend one, and a
+  // run ends once kMergeGap equal bytes follow its last change.
+  static_assert(kMergeGap <= sizeof(uint64_t),
+                "an equal word must end any run it follows");
+  auto word_equal = [&](uint32_t i) {
+    if (i + sizeof(uint64_t) > page_size) return false;
+    uint64_t a;
+    uint64_t b;
+    std::memcpy(&a, before + i, sizeof(a));
+    std::memcpy(&b, after + i, sizeof(b));
+    return a == b;
+  };
 
   std::vector<LogRecord::ByteRange> out;
   uint32_t i = 0;
   while (i < page_size) {
+    if (word_equal(i)) {
+      i += sizeof(uint64_t);
+      continue;
+    }
     if (excluded(i) || before[i] == after[i]) {
       ++i;
       continue;
@@ -246,7 +264,7 @@ std::vector<LogRecord::ByteRange> DiffPageImages(const char* before,
     const uint32_t start = i;
     uint32_t last_change = i;
     ++i;
-    while (i < page_size) {
+    while (i < page_size && !word_equal(i)) {
       if (!excluded(i) && before[i] != after[i]) {
         last_change = i;
         ++i;

@@ -110,9 +110,11 @@ struct LogRecord {
 
 /// Compute the changed byte ranges between two page images, excluding
 /// [0,4) (checksum, recomputed on write-back) and [24,32) (page-LSN,
-/// stamped with this record's own LSN). Adjacent runs closer than a few
-/// bytes are coalesced so the framing overhead stays small. Returns an
-/// empty vector when the images agree outside the excluded fields.
+/// stamped with this record's own LSN). Runs separated by fewer than 8
+/// unchanged bytes are coalesced so the framing overhead stays small.
+/// Returns an empty vector when the images agree outside the excluded
+/// fields. The ranges are the page-redo record's payload, so they set how
+/// many bytes the log spends on each page change.
 std::vector<LogRecord::ByteRange> DiffPageImages(const char* before,
                                                  const char* after,
                                                  uint32_t page_size);

@@ -260,16 +260,17 @@ void WalWriter::SealTailLocked() {
   // a torn write can only ever hit bytes that were never acknowledged.
   const uint32_t room = kBlockSize - tail;
   if (room >= kFragHeader) {
+    // A pad's payload is zeros shorter than a block, so it is read from one
+    // static zero block instead of being built on every force.
+    static constexpr char kZeros[kBlockSize] = {};
     const uint32_t len = room - kFragHeader;
-    std::string zeros(len, '\0');
     char head[kFragHeader];
     util::EncodeFixed16(head + 4, static_cast<uint16_t>(len));
     head[6] = static_cast<char>(kPad);
     util::EncodeFixed32(
-        head, FragCrc(pending_base_ + pending_.size(), kPad, zeros.data(),
-                      zeros.size()));
+        head, FragCrc(pending_base_ + pending_.size(), kPad, kZeros, len));
     pending_.append(head, kFragHeader);
-    pending_.append(zeros);
+    pending_.append(kZeros, len);
   } else {
     pending_.append(room, '\0');
   }

@@ -1,9 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <thread>
+
 #include "access/access_system.h"
 #include "access/scan.h"
 
 namespace prima::access {
+
+/// Reaches the access system's relocation pause points, which no public API
+/// or option exposes.
+class AccessSystemTestPeer {
+ public:
+  using PausePoint = AccessSystem::PausePoint;
+  static void SetPauseHook(AccessSystem* access,
+                           std::function<void(PausePoint)> hook) {
+    access->pause_hook_ = std::move(hook);
+  }
+};
+
 namespace {
 
 using storage::MemoryBlockDevice;
@@ -412,6 +430,132 @@ TEST_F(AccessSystemTest, DropAtomTypeRemovesEverything) {
   EXPECT_EQ(access_->catalog().FindAtomType("part"), nullptr);
   EXPECT_EQ(access_->catalog().FindStructure("part_nos"), nullptr);
   EXPECT_EQ(access_->AtomCount(part_), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Latest-committed reads vs record relocation
+// ---------------------------------------------------------------------------
+
+using PausePoint = AccessSystemTestPeer::PausePoint;
+
+// Longer than a 4 KiB page: the growing update moves the record into a page
+// sequence, so its address changes.
+const std::string kGrownName(6000, 'g');
+
+TEST_F(AccessSystemTest, ReaderWaitsOutARelocatingWriter) {
+  auto tid = NewPart(1);
+  ASSERT_TRUE(tid.ok());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool writer_parked = false;
+  bool reader_waiting = false;
+  bool release = false;
+  AccessSystemTestPeer::SetPauseHook(access_.get(), [&](PausePoint point) {
+    std::unique_lock<std::mutex> lk(mu);
+    if (point == PausePoint::kRelocated) {
+      // The record has moved; its new address is not published yet.
+      writer_parked = true;
+      cv.notify_all();
+      cv.wait(lk, [&] { return release; });
+    } else if (point == PausePoint::kReadRetry) {
+      reader_waiting = true;
+      cv.notify_all();
+    }
+  });
+
+  util::Status write_st;
+  std::thread writer([&] {
+    write_st = access_->ModifyAtom(*tid, {AttrValue{2, Value::String(kGrownName)}});
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return writer_parked; });
+  }
+  std::optional<util::Result<Atom>> read;
+  bool reader_done = false;
+  std::thread reader([&] {
+    util::Result<Atom> r = access_->GetAtom(*tid);
+    std::lock_guard<std::mutex> lk(mu);
+    read.emplace(std::move(r));
+    reader_done = true;
+    cv.notify_all();
+  });
+  {
+    // The reader has read the freed slot: it either returned or is waiting
+    // for the writer. Only then does the writer publish.
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return reader_waiting || reader_done; });
+    release = true;
+    cv.notify_all();
+  }
+  writer.join();
+  reader.join();
+  AccessSystemTestPeer::SetPauseHook(access_.get(), nullptr);
+
+  ASSERT_TRUE(write_st.ok()) << write_st.ToString();
+  EXPECT_TRUE(reader_waiting);
+  ASSERT_TRUE(read->ok()) << read->status().ToString();
+  EXPECT_EQ((*read)->tid, *tid);
+  EXPECT_TRUE((*read)->attrs[2].AsString() == kGrownName);
+}
+
+TEST_F(AccessSystemTest, ReaderNeverReturnsTheAtomThatReusedItsSlot) {
+  auto a = NewPart(1);
+  ASSERT_TRUE(a.ok());
+  auto old_rid = access_->addresses().Lookup(*a, kBaseStructure);
+  ASSERT_TRUE(old_rid.ok());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool reader_parked = false;
+  bool release = false;
+  AccessSystemTestPeer::SetPauseHook(access_.get(), [&](PausePoint point) {
+    std::unique_lock<std::mutex> lk(mu);
+    if (point == PausePoint::kAddressResolved && !reader_parked) {
+      // The reader holds `a`'s old address and has not read the record.
+      reader_parked = true;
+      cv.notify_all();
+      cv.wait(lk, [&] { return release; });
+    }
+  });
+
+  std::optional<util::Result<Atom>> read;
+  std::thread reader([&] { read.emplace(access_->GetAtom(*a)); });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return reader_parked; });
+  }
+  // Relocate `a`, then insert `b` into the slot `a` left behind.
+  ASSERT_TRUE(
+      access_->ModifyAtom(*a, {AttrValue{2, Value::String(kGrownName)}}).ok());
+  auto b = NewPart(2);
+  ASSERT_TRUE(b.ok());
+  auto b_rid = access_->addresses().Lookup(*b, kBaseStructure);
+  ASSERT_TRUE(b_rid.ok());
+  EXPECT_EQ(*b_rid, *old_rid) << "the insert did not reuse the freed slot";
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+    cv.notify_all();
+  }
+  reader.join();
+  AccessSystemTestPeer::SetPauseHook(access_.get(), nullptr);
+
+  ASSERT_TRUE(read->ok()) << read->status().ToString();
+  EXPECT_EQ((*read)->tid, *a);
+  EXPECT_TRUE((*read)->attrs[2].AsString() == kGrownName);
+}
+
+TEST_F(AccessSystemTest, DeletedAtomReadsNotFoundWithoutWaiting) {
+  auto tid = NewPart(1);
+  ASSERT_TRUE(tid.ok());
+  ASSERT_TRUE(access_->DeleteAtom(*tid).ok());
+  bool waited = false;
+  AccessSystemTestPeer::SetPauseHook(access_.get(), [&](PausePoint point) {
+    if (point == PausePoint::kReadRetry) waited = true;
+  });
+  EXPECT_TRUE(access_->GetAtom(*tid).status().IsNotFound());
+  AccessSystemTestPeer::SetPauseHook(access_.get(), nullptr);
+  EXPECT_FALSE(waited);
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "storage/block_device.h"
 #include "storage/page.h"
 #include "storage/storage_system.h"
+#include "util/random.h"
 #include "workloads/brep.h"
 
 namespace prima::recovery {
@@ -148,6 +149,127 @@ TEST(LogRecordTest, DiffPageImagesCoalescesNearbyRuns) {
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].offset, 100u);
   EXPECT_EQ(ranges[0].bytes.size(), 5u);
+}
+
+// Oracle for DiffPageImages: the one-byte-per-step scan it replaced, kept
+// verbatim so the word-at-a-time kernel is held to exactly its ranges.
+std::vector<LogRecord::ByteRange> ByteLoopDiff(const char* before,
+                                               const char* after,
+                                               uint32_t page_size) {
+  constexpr uint32_t kMergeGap = 8;
+  auto excluded = [](uint32_t i) { return i < 4 || (i >= 24 && i < 32); };
+  std::vector<LogRecord::ByteRange> out;
+  uint32_t i = 0;
+  while (i < page_size) {
+    if (excluded(i) || before[i] == after[i]) {
+      ++i;
+      continue;
+    }
+    const uint32_t start = i;
+    uint32_t last_change = i;
+    ++i;
+    while (i < page_size) {
+      if (!excluded(i) && before[i] != after[i]) {
+        last_change = i;
+        ++i;
+      } else if (i - last_change < kMergeGap && !excluded(i)) {
+        ++i;
+      } else {
+        break;
+      }
+    }
+    LogRecord::ByteRange r;
+    r.offset = start;
+    r.bytes.assign(after + start, last_change - start + 1);
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+TEST(LogRecordTest, DiffPageImagesMatchesByteLoopOracle) {
+  util::Random rng(15);
+  // Flip one byte to a different value.
+  auto flip = [&](std::string* page, uint32_t i) {
+    (*page)[i] = static_cast<char>((*page)[i] ^ (1 + rng.Uniform(255)));
+  };
+  int cases = 0;
+  for (const uint32_t size : {512u, 1027u, 2048u, 4096u, 8192u}) {
+    for (int iter = 0; iter < 120; ++iter) {
+      std::string before(size, '\0');
+      for (char& c : before) c = static_cast<char>(rng.Next());
+      std::string after = before;
+      switch (iter % 6) {
+        case 0:  // identical images
+          break;
+        case 1:  // sparse: a few single bytes anywhere
+          for (uint64_t k = 1 + rng.Uniform(8); k > 0; --k) {
+            flip(&after, static_cast<uint32_t>(rng.Uniform(size)));
+          }
+          break;
+        case 2: {  // dense: most bytes of a window change
+          const uint32_t len = 1 + static_cast<uint32_t>(rng.Uniform(size / 2));
+          const uint32_t at = static_cast<uint32_t>(rng.Uniform(size - len + 1));
+          for (uint32_t i = at; i < at + len; ++i) {
+            if (rng.Uniform(4) != 0) flip(&after, i);
+          }
+          break;
+        }
+        case 3:  // inside and right next to the excluded header fields
+          for (const uint32_t i : {0u, 2u, 3u, 4u, 5u, 22u, 23u, 24u, 27u,
+                                   31u, 32u, 33u}) {
+            if (rng.Uniform(2) != 0) flip(&after, i);
+          }
+          break;
+        case 4:  // two changes 7, 8 or 9 equal bytes apart, any alignment
+          for (int k = 0; k < 4; ++k) {
+            const uint32_t gap = 7 + static_cast<uint32_t>(rng.Uniform(3));
+            const uint32_t at =
+                static_cast<uint32_t>(rng.Uniform(size - gap - 1));
+            flip(&after, at);
+            flip(&after, at + gap + 1);
+          }
+          break;
+        case 5:  // the last bytes of the page, where no full word remains
+          for (uint32_t i = size - 1 - static_cast<uint32_t>(rng.Uniform(12));
+               i < size; i += 1 + static_cast<uint32_t>(rng.Uniform(3))) {
+            flip(&after, i);
+          }
+          break;
+      }
+      const auto want = ByteLoopDiff(before.data(), after.data(), size);
+      const auto got = DiffPageImages(before.data(), after.data(), size);
+      ASSERT_EQ(got.size(), want.size()) << "size " << size << " iter " << iter;
+      for (size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ(got[r].offset, want[r].offset)
+            << "size " << size << " iter " << iter << " range " << r;
+        ASSERT_EQ(got[r].bytes, want[r].bytes)
+            << "size " << size << " iter " << iter << " range " << r;
+      }
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 600);
+}
+
+TEST(LogRecordTest, DiffPageImagesGapsAcrossWordBoundaries) {
+  // Every gap length around the merge window at every offset within a word:
+  // 7 equal bytes coalesce, 8 or more split, regardless of alignment.
+  for (uint32_t at = 32; at < 48; ++at) {
+    for (uint32_t gap = 6; gap <= 10; ++gap) {
+      std::string before(512, 'a');
+      std::string after = before;
+      after[at] = 'x';
+      after[at + gap + 1] = 'y';
+      const auto got = DiffPageImages(before.data(), after.data(), 512);
+      EXPECT_EQ(got.size(), gap < 8 ? 1u : 2u) << "at " << at << " gap " << gap;
+      const auto want = ByteLoopDiff(before.data(), after.data(), 512);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got[r].offset, want[r].offset);
+        EXPECT_EQ(got[r].bytes, want[r].bytes);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
